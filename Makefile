@@ -1,8 +1,6 @@
-.PHONY: all build check test bench bench-full bench-parallel bench-serve \
-	bench-obs bench-recovery bench-exact bench-exact-baseline bench-dp \
-	bench-dp-baseline bench-incr bench-incr-baseline bench-fleet serve-smoke \
-	serve-smoke-faults chaos-smoke fleet-smoke ablations micro examples fmt \
-	fmt-check ci clean
+.PHONY: all build check test bench bench-full bench-serve bench-gate \
+	bench-baseline serve-smoke serve-smoke-faults chaos-smoke fleet-smoke \
+	ablations micro examples fmt fmt-check ci clean
 
 # worker domains for the parallel runtime; passed through to the bench
 # harness (the CLI takes its own --jobs flag)
@@ -30,53 +28,26 @@ bench:
 bench-full:
 	dune exec bench/main.exe -- --full --jobs $(JOBS)
 
-bench-parallel:
-	dune exec bench/main.exe -- parallel --jobs $(JOBS) --out BENCH_parallel.json
-
 bench-serve:
 	dune exec bench/main.exe -- serve --out BENCH_serve.json
 
-# metrics-on vs metrics-off on the warm-serve path; fails above 2% overhead
-bench-obs:
-	dune exec bench/main.exe -- obs --out BENCH_obs.json
+# every suite with a checked-in baseline in bench/baselines/ (exact, dp,
+# incr, parallel, obs, recovery, fleet) against that baseline, plus the
+# liveness check against a doctored copy — the same script the CI
+# bench-gate job runs. The rule is in bench/gate.ml.
+bench-gate:
+	sh scripts/bench_gate.sh
 
-# cold start vs recovered start to the first answer; fails unless the
-# recovered start (snapshot + journal replay) is strictly cheaper
-bench-recovery:
-	dune exec bench/main.exe -- recovery --out BENCH_recovery.json
-
-# legacy colouring B&B vs the bitset MWC engine on the tracked seeded
-# instances; fails below the 10x step-speedup floor or on >20% regression
-# against the checked-in baseline — the same gate the bench-exact CI job runs
-bench-exact:
-	dune exec bench/main.exe -- exact --out BENCH_exact.json \
-		--check-against bench/baselines/BENCH_exact.json
-
-# refresh the checked-in baseline after an intentional perf change (run on a
-# quiet machine; steps are deterministic, times carry the slack)
-bench-exact-baseline:
-	dune exec bench/main.exe -- exact --out bench/baselines/BENCH_exact.json
-
-# tree-decomposition DP vs the MWC engine on the tracked low-treewidth
-# instances; fails below the 2x step-speedup floor or on >20% regression
-# against the checked-in baseline — the same gate the bench-dp CI job runs
-bench-dp:
-	dune exec bench/main.exe -- dp --out BENCH_dp.json \
-		--check-against bench/baselines/BENCH_dp.json
-
-bench-dp-baseline:
-	dune exec bench/main.exe -- dp --out bench/baselines/BENCH_dp.json
-
-# addedge/deledge + warm re-solve vs unload + reload + cold solve on the
-# tracked seeded instances; fails unless the incremental path wins on every
-# instance, both paths agree on every answer, and no instance regresses
-# against the checked-in baseline — the same gate the bench-incr CI job runs
-bench-incr:
-	dune exec bench/main.exe -- incr --out BENCH_incr.json \
-		--check-against bench/baselines/BENCH_incr.json
-
-bench-incr-baseline:
-	dune exec bench/main.exe -- incr --out bench/baselines/BENCH_incr.json
+# refresh every checked-in baseline after an intentional change (run on a
+# quiet machine): work and time rows come from the new run, floor and
+# ceiling bounds stay as they are
+bench-baseline:
+	dune build bench/main.exe bin/phomd.exe
+	for f in bench/baselines/BENCH_*.json; do \
+	  s=$${f#bench/baselines/BENCH_}; s=$${s%.json}; \
+	  ./_build/default/bench/main.exe $$s --out BENCH_$$s.json && \
+	  python3 scripts/bench_rows.py refresh BENCH_$$s.json $$f || exit 1; \
+	done
 
 # start phomd on a temp socket, run cold/warm/budget-tripped client queries,
 # assert clean shutdown — the same flow as the CI daemon-smoke job
@@ -99,11 +70,6 @@ chaos-smoke:
 # clean rejoin — the same flow as the CI fleet-smoke job
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
-
-# routed p50/p99 against 1 vs 3 replicas plus the kill -9 failover blip;
-# fails when any routed request errors or the blip exceeds its bound
-bench-fleet:
-	dune exec bench/main.exe -- fleet --out BENCH_fleet.json
 
 ablations:
 	dune exec bench/main.exe -- ablations
@@ -134,27 +100,18 @@ fmt-check:
 	  echo "ocamlformat not installed; skipping (opam install ocamlformat.0.26.2)"; \
 	fi
 
-# exactly what .github/workflows/ci.yml runs (build-test + bench-smoke),
-# so a green `make ci` predicts a green pipeline
+# exactly what .github/workflows/ci.yml runs, so a green `make ci`
+# predicts a green pipeline
 ci:
 	dune build @all
 	dune runtest
 	dune exec bench/main.exe -- micro
-	dune exec bench/main.exe -- parallel --jobs 4 --out BENCH_parallel.json
 	sh scripts/serve_smoke.sh
 	sh scripts/serve_smoke.sh --faults
 	dune exec bench/main.exe -- serve --out BENCH_serve.json
-	dune exec bench/main.exe -- obs --out BENCH_obs.json
 	sh scripts/chaos_smoke.sh
-	dune exec bench/main.exe -- recovery --out BENCH_recovery.json
 	sh scripts/fleet_smoke.sh
-	dune exec bench/main.exe -- fleet --out BENCH_fleet.json
-	dune exec bench/main.exe -- exact --out BENCH_exact.json \
-		--check-against bench/baselines/BENCH_exact.json
-	dune exec bench/main.exe -- dp --out BENCH_dp.json \
-		--check-against bench/baselines/BENCH_dp.json
-	dune exec bench/main.exe -- incr --out BENCH_incr.json \
-		--check-against bench/baselines/BENCH_incr.json
+	sh scripts/bench_gate.sh
 
 clean:
 	dune clean

@@ -4,21 +4,12 @@
    against graded-similarity DAG data graphs — solved to proven optimality
    by both exact paths: the Theorem-5.1 product-graph reduction into the
    bitset MWC engine, and the tree-decomposition DP the width router picks
-   on narrow patterns. Two guards, both exit non-zero so CI cannot pass a
-   regression silently:
-
-   - the engine guard: across the tracked instances the DP must take
-     >= --min-step-speedup fewer budget steps (DP table rows vs B&B search
-     nodes) than the MWC engine — the whole point of routing tree-like
-     patterns away from the clique solver;
-   - the baseline gate (--check-against FILE): every tracked (name, engine)
-     row of the checked-in BENCH_dp.json must be reproduced within
-     --max-step-regress and --max-time-regress plus --time-floor, exactly
-     like `bench exact`.
-
-   Refresh the baseline by copying the written artifact over
-   bench/baselines/BENCH_dp.json when an intentional change moves the
-   numbers. *)
+   on narrow patterns; the two must agree on every optimum. Rows are gated
+   exactly like `bench exact`, and the engine guard is a floor row: across
+   the tracked instances the DP must take fewer budget steps (DP table
+   rows vs B&B search nodes) than the MWC engine by the bound in the
+   checked-in baseline (2) — the whole point of routing tree-like patterns
+   away from the clique solver. *)
 
 module D = Phom_graph.Digraph
 module G = Phom_graph.Generators
@@ -29,7 +20,7 @@ module Wis = Phom_wis.Wis
 module Mapping = Phom.Mapping
 module Pool = Phom_parallel.Pool
 
-type row = {
+type row = Exact_bench.row = {
   name : string;
   engine : string;  (** "dp" or "mwc" *)
   nodes : int;  (** pattern nodes (the DP's input scale) *)
@@ -154,85 +145,7 @@ let run_mwc ?pool name (t : Phom.Instance.t) weights =
     optimum;
   }
 
-let json_of ~seed ~jobs rows ~dp_steps ~mwc_steps ~dp_seconds ~mwc_seconds =
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": %S, \"engine\": %S, \"nodes\": %d, \"edges\": %d, \
-       \"optimum\": %.6f, \"steps\": %d, \"seconds\": %.6f}"
-      r.name r.engine r.nodes r.edges r.optimum r.steps r.seconds
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"seed\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"mwc_steps\": %d,\n\
-    \  \"dp_steps\": %d,\n\
-    \  \"steps_speedup\": %.3f,\n\
-    \  \"mwc_seconds\": %.6f,\n\
-    \  \"dp_seconds\": %.6f,\n\
-    \  \"instances\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    seed jobs mwc_steps dp_steps
-    (if dp_steps > 0 then float_of_int mwc_steps /. float_of_int dp_steps
-     else 0.)
-    mwc_seconds dp_seconds
-    (String.concat ",\n" (List.map row_json rows))
-
-let check_against ~baseline_file ~max_step_regress ~max_time_regress
-    ~time_floor rows =
-  let baseline = Exact_bench.parse_baseline baseline_file in
-  if baseline = [] then begin
-    Printf.eprintf "bench dp: no instance rows parsed from %s\n" baseline_file;
-    exit 1
-  end;
-  let violations = ref 0 in
-  List.iter
-    (fun (name, engine, base_steps, base_seconds) ->
-      match
-        List.find_opt (fun r -> r.name = name && r.engine = engine) rows
-      with
-      | None ->
-          Printf.eprintf
-            "bench dp: tracked instance %s/%s missing from this run\n" name
-            engine;
-          incr violations
-      | Some r ->
-          let step_limit =
-            int_of_float
-              (ceil (float_of_int base_steps *. (1. +. max_step_regress)))
-          in
-          if r.steps > step_limit then begin
-            Printf.eprintf
-              "bench dp: %s/%s regressed on steps: %d > %d (baseline %d, \
-               +%.0f%% allowed)\n"
-              name engine r.steps step_limit base_steps
-              (max_step_regress *. 100.);
-            incr violations
-          end;
-          let time_limit =
-            (base_seconds *. (1. +. max_time_regress)) +. time_floor
-          in
-          if r.seconds > time_limit then begin
-            Printf.eprintf
-              "bench dp: %s/%s regressed on wall-time: %.6fs > %.6fs \
-               (baseline %.6fs, +%.0f%% and %.2fs slack)\n"
-              name engine r.seconds time_limit base_seconds
-              (max_time_regress *. 100.) time_floor;
-            incr violations
-          end)
-    baseline;
-  if !violations > 0 then begin
-    Printf.eprintf "bench dp: %d perf-gate violation(s) vs %s\n" !violations
-      baseline_file;
-    exit 1
-  end;
-  Util.note "perf gate: every tracked instance within bounds of %s"
-    baseline_file
-
-let run ~seed ~jobs ~min_step_speedup ~out ?check ~max_step_regress
-    ~max_time_regress ~time_floor () =
+let run ~seed ~jobs ~out ?check () =
   Util.heading "Low-treewidth patterns: tree-decomposition DP vs MWC engine";
   let with_pool f =
     if jobs <= 1 then f None
@@ -254,17 +167,15 @@ let run ~seed ~jobs ~min_step_speedup ~out ?check ~max_step_regress
       rows := mwc :: dp :: !rows)
     (tracked ~seed);
   let rows = List.rev !rows in
-  let sum f pred =
-    List.fold_left (fun acc r -> if pred r then acc +. f r else acc) 0. rows
+  let sum f engine =
+    List.fold_left
+      (fun acc r -> if r.engine = engine then acc +. f r else acc)
+      0. rows
   in
-  let dp_steps =
-    int_of_float (sum (fun r -> float_of_int r.steps) (fun r -> r.engine = "dp"))
-  in
-  let mwc_steps =
-    int_of_float (sum (fun r -> float_of_int r.steps) (fun r -> r.engine = "mwc"))
-  in
-  let dp_seconds = sum (fun r -> r.seconds) (fun r -> r.engine = "dp") in
-  let mwc_seconds = sum (fun r -> r.seconds) (fun r -> r.engine = "mwc") in
+  let dp_steps = sum (fun r -> float_of_int r.steps) "dp" in
+  let mwc_steps = sum (fun r -> float_of_int r.steps) "mwc" in
+  let dp_seconds = sum (fun r -> r.seconds) "dp" in
+  let mwc_seconds = sum (fun r -> r.seconds) "mwc" in
   Util.table
     [ "instance"; "engine"; "g1 nodes"; "g1 edges"; "optimum"; "steps"; "seconds" ]
     (List.map
@@ -279,30 +190,19 @@ let run ~seed ~jobs ~min_step_speedup ~out ?check ~max_step_regress
            Util.seconds r.seconds;
          ])
        rows);
-  let steps_speedup =
-    if dp_steps > 0 then float_of_int mwc_steps /. float_of_int dp_steps
-    else infinity
-  in
-  Util.note "steps: mwc %d vs dp %d (%.1fx); time: %ss vs %ss" mwc_steps
+  let steps_speedup = Gate.ratio mwc_steps dp_steps in
+  Util.note "steps: mwc %.0f vs dp %.0f (%.1fx); time: %ss vs %ss" mwc_steps
     dp_steps steps_speedup
     (Util.seconds mwc_seconds) (Util.seconds dp_seconds);
-  let json =
-    json_of ~seed ~jobs rows ~dp_steps ~mwc_steps ~dp_seconds ~mwc_seconds
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
-  (* engine guard: the router's reason to exist *)
-  if steps_speedup < min_step_speedup then begin
-    Printf.eprintf
-      "bench dp: DP is only %.2fx fewer steps than the MWC engine (required \
-       %.1fx)\n"
-      steps_speedup min_step_speedup;
-    exit 1
-  end;
-  match check with
-  | None -> ()
-  | Some baseline_file ->
-      check_against ~baseline_file ~max_step_regress ~max_time_regress
-        ~time_floor rows
+  (* the engine guard, the router's reason to exist: the DP must take far
+     fewer steps than the MWC engine *)
+  let total = Gate.row "dp" "all" in
+  Gate.finish ~out ?check
+    (List.concat_map (Exact_bench.gate_rows "dp") rows
+    @ [
+        total "mwc_steps" Work mwc_steps;
+        total "dp_steps" Work dp_steps;
+        total "mwc_seconds" Time mwc_seconds;
+        total "dp_seconds" Time dp_seconds;
+        total "steps_speedup" Floor steps_speedup;
+      ])

@@ -3,21 +3,12 @@
    Seeded product-graph instances (the paper generator's pattern/data pairs
    pushed through the Theorem-5.1 compatibility-graph construction) solved
    to proven optimality by the legacy colouring B&B and the bitset MWC
-   engine. Two guards, both exit non-zero so CI cannot pass a regression
-   silently:
-
-   - the engine guard: across the tracked cardinality instances the MWC
-     engine must take >= --min-step-speedup fewer B&B steps (default 10x)
-     than the legacy engine, and strictly less total wall-time;
-   - the baseline gate (--check-against FILE): every tracked (name, engine)
-     row of the checked-in BENCH_exact.json must be reproduced within
-     --max-step-regress (steps are deterministic, so this is an exact
-     comparison with a tolerance) and --max-time-regress plus an absolute
-     --time-floor (wall-time is noisy across runners).
-
-   The JSON this writes doubles as the next baseline: refresh it by copying
-   the artifact over bench/baselines/BENCH_exact.json when an intentional
-   engine change moves the numbers. *)
+   engine; the two must agree on every optimum. Every (instance, engine)
+   result becomes gate rows (nodes, edges, optimum and steps exact,
+   seconds with the time slack), and the engine guards are floor rows on
+   the totals: the MWC engine's step speedup over legacy (bound 10 in the
+   checked-in baseline) and its total wall-time speedup (bound 1: strictly
+   faster). See gate.ml for the comparison rule. *)
 
 module D = Phom_graph.Digraph
 module G = Phom_graph.Generators
@@ -144,131 +135,19 @@ let mwc_weight_solve ?pool b g =
   let _, w, status = Wis.exact_max_weight_clique ?pool ~budget:b g in
   (w, status)
 
-let json_of ~seed ~jobs rows ~legacy_steps ~mwc_steps ~legacy_seconds
-    ~mwc_seconds =
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": %S, \"engine\": %S, \"nodes\": %d, \"edges\": %d, \
-       \"optimum\": %.6f, \"steps\": %d, \"seconds\": %.6f}"
-      r.name r.engine r.nodes r.edges r.optimum r.steps r.seconds
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"seed\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"legacy_steps\": %d,\n\
-    \  \"mwc_steps\": %d,\n\
-    \  \"steps_speedup\": %.3f,\n\
-    \  \"legacy_seconds\": %.6f,\n\
-    \  \"mwc_seconds\": %.6f,\n\
-    \  \"time_speedup\": %.3f,\n\
-    \  \"instances\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    seed jobs legacy_steps mwc_steps
-    (if mwc_steps > 0 then float_of_int legacy_steps /. float_of_int mwc_steps
-     else 0.)
-    legacy_seconds mwc_seconds
-    (if mwc_seconds > 0. then legacy_seconds /. mwc_seconds else 0.)
-    (String.concat ",\n" (List.map row_json rows))
+(* one (instance, engine) result as gate rows: the answer and the work to
+   prove it are exact, the wall-time carries the slack *)
+let gate_rows suite r =
+  let row = Gate.row suite (r.name ^ "/" ^ r.engine) in
+  [
+    row "nodes" Work (float_of_int r.nodes);
+    row "edges" Work (float_of_int r.edges);
+    row "optimum" Work r.optimum;
+    row "steps" Work (float_of_int r.steps);
+    row "seconds" Time r.seconds;
+  ]
 
-(* ---- the baseline gate ---- *)
-
-(* minimal field extraction from the flat per-instance lines this bench
-   itself writes (the repo deliberately has no JSON dependency) *)
-let parse_baseline file =
-  let ic = open_in file in
-  let rows = ref [] in
-  let field line key =
-    let pat = Printf.sprintf "\"%s\": " key in
-    let plen = String.length pat in
-    let rec find i =
-      if i + plen > String.length line then None
-      else if String.sub line i plen = pat then Some (i + plen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-        let stop = ref start in
-        let len = String.length line in
-        while !stop < len && not (List.mem line.[!stop] [ ','; '}'; '\n' ]) do
-          incr stop
-        done;
-        Some (String.trim (String.sub line start (!stop - start)))
-  in
-  let unquote s =
-    if String.length s >= 2 && s.[0] = '"' then String.sub s 1 (String.length s - 2)
-    else s
-  in
-  (try
-     while true do
-       let line = input_line ic in
-       match (field line "name", field line "engine", field line "steps",
-              field line "seconds")
-       with
-       | Some n, Some e, Some st, Some sec ->
-           rows :=
-             (unquote n, unquote e, int_of_string st, float_of_string sec)
-             :: !rows
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
-
-let check_against ~baseline_file ~max_step_regress ~max_time_regress
-    ~time_floor rows =
-  let baseline = parse_baseline baseline_file in
-  if baseline = [] then begin
-    Printf.eprintf "bench exact: no instance rows parsed from %s\n"
-      baseline_file;
-    exit 1
-  end;
-  let violations = ref 0 in
-  List.iter
-    (fun (name, engine, base_steps, base_seconds) ->
-      match
-        List.find_opt (fun r -> r.name = name && r.engine = engine) rows
-      with
-      | None ->
-          Printf.eprintf
-            "bench exact: tracked instance %s/%s missing from this run\n" name
-            engine;
-          incr violations
-      | Some r ->
-          let step_limit =
-            int_of_float (ceil (float_of_int base_steps *. (1. +. max_step_regress)))
-          in
-          if r.steps > step_limit then begin
-            Printf.eprintf
-              "bench exact: %s/%s regressed on steps: %d > %d (baseline %d, \
-               +%.0f%% allowed)\n"
-              name engine r.steps step_limit base_steps
-              (max_step_regress *. 100.);
-            incr violations
-          end;
-          let time_limit = (base_seconds *. (1. +. max_time_regress)) +. time_floor in
-          if r.seconds > time_limit then begin
-            Printf.eprintf
-              "bench exact: %s/%s regressed on wall-time: %.6fs > %.6fs \
-               (baseline %.6fs, +%.0f%% and %.2fs slack)\n"
-              name engine r.seconds time_limit base_seconds
-              (max_time_regress *. 100.) time_floor;
-            incr violations
-          end)
-    baseline;
-  if !violations > 0 then begin
-    Printf.eprintf "bench exact: %d perf-gate violation(s) vs %s\n" !violations
-      baseline_file;
-    exit 1
-  end;
-  Util.note "perf gate: every tracked instance within bounds of %s"
-    baseline_file
-
-let run ~seed ~jobs ~min_step_speedup ~out ?check ~max_step_regress
-    ~max_time_regress ~time_floor () =
+let run ~seed ~jobs ~out ?check () =
   Util.heading "Exact path: legacy colouring B&B vs bitset MWC engine";
   let with_pool f =
     if jobs <= 1 then f None
@@ -304,8 +183,8 @@ let run ~seed ~jobs ~min_step_speedup ~out ?check ~max_step_regress
   let is_card_mwc r =
     r.engine = "mwc" && List.exists (fun b -> b.name = r.name && b.engine = "legacy") rows
   in
-  let legacy_steps = int_of_float (sum (fun r -> float_of_int r.steps) is_card_legacy) in
-  let mwc_steps = int_of_float (sum (fun r -> float_of_int r.steps) is_card_mwc) in
+  let legacy_steps = sum (fun r -> float_of_int r.steps) is_card_legacy in
+  let mwc_steps = sum (fun r -> float_of_int r.steps) is_card_mwc in
   let legacy_seconds = sum (fun r -> r.seconds) is_card_legacy in
   let mwc_seconds = sum (fun r -> r.seconds) is_card_mwc in
   Util.table
@@ -322,40 +201,21 @@ let run ~seed ~jobs ~min_step_speedup ~out ?check ~max_step_regress
            Util.seconds r.seconds;
          ])
        rows);
-  let steps_speedup =
-    if mwc_steps > 0 then float_of_int legacy_steps /. float_of_int mwc_steps
-    else infinity
-  in
-  Util.note "steps: legacy %d vs mwc %d (%.1fx); time: %ss vs %ss (%.1fx)"
+  let steps_speedup = Gate.ratio legacy_steps mwc_steps in
+  let time_speedup = Gate.ratio legacy_seconds mwc_seconds in
+  Util.note "steps: legacy %.0f vs mwc %.0f (%.1fx); time: %ss vs %ss (%.1fx)"
     legacy_steps mwc_steps steps_speedup
-    (Util.seconds legacy_seconds) (Util.seconds mwc_seconds)
-    (if mwc_seconds > 0. then legacy_seconds /. mwc_seconds else 0.);
-  let json =
-    json_of ~seed ~jobs rows ~legacy_steps ~mwc_steps ~legacy_seconds
-      ~mwc_seconds
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
-  (* engine guard *)
-  if steps_speedup < min_step_speedup then begin
-    Printf.eprintf
-      "bench exact: MWC engine is only %.2fx fewer steps than legacy \
-       (required %.1fx)\n"
-      steps_speedup min_step_speedup;
-    exit 1
-  end;
-  if mwc_seconds >= legacy_seconds then begin
-    Printf.eprintf
-      "bench exact: MWC engine wall-time %.6fs is not strictly faster than \
-       legacy %.6fs\n"
-      mwc_seconds legacy_seconds;
-    exit 1
-  end;
-  (* baseline gate *)
-  match check with
-  | None -> ()
-  | Some baseline_file ->
-      check_against ~baseline_file ~max_step_regress ~max_time_regress
-        ~time_floor rows
+    (Util.seconds legacy_seconds) (Util.seconds mwc_seconds) time_speedup;
+  (* the engine guards: MWC must take far fewer steps than legacy and be
+     faster in total on the cardinality instances *)
+  let total = Gate.row "exact" "all" in
+  Gate.finish ~out ?check
+    (List.concat_map (gate_rows "exact") rows
+    @ [
+        total "legacy_steps" Work legacy_steps;
+        total "mwc_steps" Work mwc_steps;
+        total "legacy_seconds" Time legacy_seconds;
+        total "mwc_seconds" Time mwc_seconds;
+        total "steps_speedup" Floor steps_speedup;
+        total "time_speedup" Floor time_speedup;
+      ])

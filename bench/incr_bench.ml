@@ -15,11 +15,8 @@
    differential assertion from the oracle suite, repeated here so the bench
    cannot silently measure two different computations), and the incremental
    path must be faster on every tracked instance — that is the win the
-   dynamic-graph subsystem exists for, so CI fails when it evaporates.
-
-   The JSON this writes doubles as the next baseline: refresh
-   bench/baselines/BENCH_incr.json from the artifact when an intentional
-   change moves the numbers. *)
+   dynamic-graph subsystem exists for, so the gate fails when it
+   evaporates. *)
 
 module D = Phom_graph.Digraph
 module G = Phom_graph.Generators
@@ -204,116 +201,20 @@ let bench_pair ~rng ~m ~noise ~edits ~repeats =
         equal_output = !equal;
       })
 
-let json_of ~seed ~edits ~repeats rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": %S, \"n1\": %d, \"n2\": %d, \"edits\": %d, \
-       \"incr_seconds\": %.6f, \"rebuild_seconds\": %.6f, \"speedup\": %.3f, \
-       \"closures_maintained\": %d, \"equal_output\": %b}"
-      r.name r.n1 r.n2 r.edits r.incr_seconds r.rebuild_seconds
-      (if r.incr_seconds > 0. then r.rebuild_seconds /. r.incr_seconds else 0.)
-      r.closures_maintained r.equal_output
-  in
-  let total f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
-  let ti = total (fun r -> r.incr_seconds)
-  and tr = total (fun r -> r.rebuild_seconds) in
-  Printf.sprintf
-    "{\n\
-    \  \"seed\": %d,\n\
-    \  \"edits\": %d,\n\
-    \  \"repeats\": %d,\n\
-    \  \"incr_seconds\": %.6f,\n\
-    \  \"rebuild_seconds\": %.6f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"instances\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    seed edits repeats ti tr
-    (if ti > 0. then tr /. ti else 0.)
-    (String.concat ",\n" (List.map row_json rows))
+(* the tracked workload; the checked-in baseline's instances are defined by
+   it (and the seed) *)
+let sizes = [ 20; 40; 80 ]
+let noise = 0.1
+let edits = 6
+let repeats = 3
 
-(* ---- the baseline gate (same scheme as `bench exact`) ---- *)
-
-let parse_baseline file =
-  let ic = open_in file in
-  let rows = ref [] in
-  let field line key =
-    let pat = Printf.sprintf "\"%s\": " key in
-    let plen = String.length pat in
-    let rec find i =
-      if i + plen > String.length line then None
-      else if String.sub line i plen = pat then Some (i + plen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-        let stop = ref start in
-        let len = String.length line in
-        while !stop < len && not (List.mem line.[!stop] [ ','; '}'; '\n' ]) do
-          incr stop
-        done;
-        Some (String.trim (String.sub line start (!stop - start)))
-  in
-  let unquote s =
-    if String.length s >= 2 && s.[0] = '"' then
-      String.sub s 1 (String.length s - 2)
-    else s
-  in
-  (try
-     while true do
-       let line = input_line ic in
-       match (field line "name", field line "incr_seconds") with
-       | Some n, Some s ->
-           rows := (unquote n, float_of_string s) :: !rows
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (* the summary object carries incr_seconds but no name field, so only
-     per-instance lines parse *)
-  List.rev !rows
-
-let check_against ~baseline_file ~max_time_regress ~time_floor rows =
-  let baseline = parse_baseline baseline_file in
-  if baseline = [] then begin
-    Printf.eprintf "bench incr: no instance rows parsed from %s\n" baseline_file;
-    exit 1
-  end;
-  let violations = ref 0 in
-  List.iter
-    (fun (name, base_seconds) ->
-      match List.find_opt (fun r -> r.name = name) rows with
-      | None ->
-          Printf.eprintf "bench incr: tracked instance %s missing from this run\n"
-            name;
-          incr violations
-      | Some r ->
-          let limit = (base_seconds *. (1. +. max_time_regress)) +. time_floor in
-          if r.incr_seconds > limit then begin
-            Printf.eprintf
-              "bench incr: %s regressed on edit+re-solve time: %.6fs > %.6fs \
-               (baseline %.6fs, +%.0f%% and %.2fs slack)\n"
-              name r.incr_seconds limit base_seconds (max_time_regress *. 100.)
-              time_floor;
-            incr violations
-          end)
-    baseline;
-  if !violations > 0 then begin
-    Printf.eprintf "bench incr: %d perf-gate violation(s) vs %s\n" !violations
-      baseline_file;
-    exit 1
-  end;
-  Util.note "perf gate: every tracked instance within bounds of %s" baseline_file
-
-let run ~seed ~sizes ~noise ~edits ~repeats ~min_speedup ~out ?check
-    ~max_time_regress ~time_floor () =
+let run ~seed ~out ?check () =
   Util.heading "Dynamic graphs: edit + warm re-solve vs unload + reload + cold solve";
   Util.note "paper synthetic pairs, noise %.2f, %d edits per instance, %d repeats"
     noise edits repeats;
   let rng = Random.State.make [| seed |] in
   let rows = List.map (fun m -> bench_pair ~rng ~m ~noise ~edits ~repeats) sizes in
+  let speedup r = Gate.ratio r.rebuild_seconds r.incr_seconds in
   Util.table
     [ "instance"; "|G1|"; "|G2|"; "edits"; "incremental"; "rebuild"; "speedup";
       "closures kept"; "same answer" ]
@@ -326,41 +227,31 @@ let run ~seed ~sizes ~noise ~edits ~repeats ~min_speedup ~out ?check
            string_of_int r.edits;
            Util.seconds r.incr_seconds;
            Util.seconds r.rebuild_seconds;
-           Printf.sprintf "%.1fx"
-             (if r.incr_seconds > 0. then r.rebuild_seconds /. r.incr_seconds
-              else 0.);
+           Printf.sprintf "%.1fx" (speedup r);
            string_of_int r.closures_maintained;
            string_of_bool r.equal_output;
          ])
        rows);
-  let json = json_of ~seed ~edits ~repeats rows in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
+  (* the win guard is a floor row per instance: edit + warm re-solve must
+     beat the rebuild path by the baseline's bound (1: strictly faster) *)
+  Gate.finish ~out ?check
+    (List.concat_map
+       (fun r ->
+         let row = Gate.row "incr" r.name in
+         [
+           row "n1" Work (float_of_int r.n1);
+           row "n2" Work (float_of_int r.n2);
+           row "edits" Work (float_of_int r.edits);
+           row "closures_maintained" Work (float_of_int r.closures_maintained);
+           row "equal_output" Work (Gate.of_bool r.equal_output);
+           row "incr_seconds" Time r.incr_seconds;
+           row "rebuild_seconds" Time r.rebuild_seconds;
+           row "speedup" Floor (speedup r);
+         ])
+       rows);
   (* differential assertion: both paths answered identically at every step *)
   if List.exists (fun r -> not r.equal_output) rows then begin
     prerr_endline
       "bench incr: the incremental and rebuild paths disagree on an answer";
     exit 1
-  end;
-  (* the win guard: every tracked instance must clear the speedup floor *)
-  List.iter
-    (fun r ->
-      let speedup =
-        if r.incr_seconds > 0. then r.rebuild_seconds /. r.incr_seconds
-        else infinity
-      in
-      if speedup < min_speedup then begin
-        Printf.eprintf
-          "bench incr: %s: edit+re-solve is only %.2fx the rebuild path \
-           (required %.2fx)\n"
-          r.name speedup min_speedup;
-        exit 1
-      end)
-    rows;
-  (* baseline gate *)
-  match check with
-  | None -> ()
-  | Some baseline_file ->
-      check_against ~baseline_file ~max_time_regress ~time_floor rows
+  end

@@ -35,11 +35,14 @@ let jobs_arg =
               (sequential), so published numbers stay comparable unless \
               parallelism is asked for explicitly.")
 
-let with_pool jobs f =
+let require_jobs jobs =
   if jobs < 1 then begin
     Printf.eprintf "bench: --jobs must be at least 1 (got %d)\n" jobs;
     exit 1
-  end;
+  end
+
+let with_pool jobs f =
+  require_jobs jobs;
   if jobs = 1 then f None
   else Phom_parallel.Pool.with_pool ~domains:jobs (fun p -> f (Some p))
 
@@ -134,37 +137,30 @@ let ablations_cmd =
     (Cmd.info "ablations" ~doc:"Ablation benches for the design choices.")
     Term.(const (fun seed -> Ablations.run ~seed) $ seed_arg)
 
+(* the gate surface every suite shares: where its rows go, and the
+   checked-in baseline they are compared with (see gate.ml) *)
+let out_arg suite =
+  Arg.(
+    value
+    & opt string (Printf.sprintf "BENCH_%s.json" suite)
+    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON rows.")
+
+let check_arg suite =
+  Arg.(
+    value & opt (some file) None
+    & info [ "check-against" ] ~docv:"FILE"
+        ~doc:
+          (Printf.sprintf
+             "Baseline to gate the run against (the checked-in one is \
+              bench/baselines/BENCH_%s.json): work rows must match it \
+              exactly, time rows within +20%% and 0.25 s, guard rows must \
+              clear its bounds. Fails on any violation."
+             suite))
+
 let parallel_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_parallel.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let components_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "components" ] ~doc:"Pattern components in the fan-out workload.")
-  in
-  let m_arg =
-    Arg.(value & opt int 40 & info [ "size" ] ~doc:"Nodes per pattern component.")
-  in
-  let require_speedup_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "require-speedup" ] ~docv:"X"
-          ~doc:"Fail unless every workload reaches X times sequential speed \
-                (default 0: report only — pool wins depend on machine shape).")
-  in
-  let run seed jobs components m versions require_speedup out =
-    let jobs =
-      if jobs >= 1 then jobs
-      else begin
-        Printf.eprintf "bench: --jobs must be at least 1 (got %d)\n" jobs;
-        exit 1
-      end
-    in
-    Parallel_bench.run ~jobs ~seed ~components ~m ~versions ~out
-      ~min_speedup:require_speedup ()
+  let run seed jobs out check =
+    require_jobs jobs;
+    Parallel_bench.run ~jobs ~seed ~out ?check ()
   in
   Cmd.v
     (Cmd.info "parallel"
@@ -177,14 +173,9 @@ let parallel_cmd =
           & opt int (Domain.recommended_domain_count ())
           & info [ "jobs"; "j" ] ~docv:"N"
               ~doc:"Worker domains for the parallel side of the comparison.")
-      $ components_arg $ m_arg $ versions_arg $ require_speedup_arg $ out_arg)
+      $ out_arg "parallel" $ check_arg "parallel")
 
 let serve_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_serve.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
   let sizes_arg =
     Arg.(
       value & opt (list int) [ 20; 40; 80 ]
@@ -225,358 +216,81 @@ let serve_cmd =
              writes BENCH_serve.json.")
     Term.(
       const run $ seed_arg $ sizes_arg $ noise_arg $ repeats_arg $ clients_arg
-      $ out_arg)
+      $ out_arg "serve")
 
 let recovery_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_recovery.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let m_arg =
-    Arg.(
-      value & opt int 80
-      & info [ "size" ] ~doc:"Pattern size (generator parameter m).")
-  in
-  let noise_arg =
-    Arg.(
-      value & opt float 0.1 & info [ "noise" ] ~doc:"Noise rate for the data graph.")
-  in
-  let repeats_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~doc:"Cold/recovered daemon-life pairs to time.")
-  in
-  let min_speedup_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:"Fail unless the recovered start is X times cheaper than the \
-                cold start (default 1: strictly cheaper).")
-  in
-  let run seed m noise repeats min_speedup out =
-    if m < 1 || repeats < 1 then begin
-      prerr_endline "bench: --size and --repeats must be at least 1";
-      exit 1
-    end;
-    Recovery_bench.run ~seed ~m ~noise ~repeats ~out ~min_speedup ()
-  in
   Cmd.v
     (Cmd.info "recovery"
        ~doc:"Durable-daemon restart cost: cold start (load + compute) vs \
              recovered start (snapshot + journal replay) to the first \
-             answer; writes BENCH_recovery.json and fails unless recovery \
-             is strictly cheaper.")
+             answer; writes BENCH_recovery.json.")
     Term.(
-      const run $ seed_arg $ m_arg $ noise_arg $ repeats_arg $ min_speedup_arg
-      $ out_arg)
+      const (fun seed out check -> Recovery_bench.run ~seed ~out ?check ())
+      $ seed_arg $ out_arg "recovery" $ check_arg "recovery")
 
 let incr_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_incr.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let sizes_arg =
-    Arg.(
-      value & opt (list int) [ 20; 40; 80 ]
-      & info [ "sizes" ] ~docv:"M,M,..."
-          ~doc:"Pattern sizes (paper generator parameter m) to edit at.")
-  in
-  let noise_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "noise" ] ~doc:"Noise rate for the data graphs.")
-  in
-  let edits_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "edits" ] ~doc:"Single-edge edits per tracked instance.")
-  in
-  let repeats_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~doc:"Timed passes per instance (mean reported).")
-  in
-  let min_speedup_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:"Fail unless edit + warm re-solve beats unload + reload + cold \
-                solve by X times on every tracked instance (default 1: \
-                strictly faster).")
-  in
-  let check_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "check-against" ] ~docv:"FILE"
-          ~doc:"Baseline BENCH_incr.json to gate against: fail when any \
-                tracked instance regresses on edit+re-solve wall-time.")
-  in
-  let time_regress_arg =
-    Arg.(
-      value & opt float 0.50
-      & info [ "max-time-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional wall-time regression, on \
-                top of the absolute slack of $(b,--time-floor).")
-  in
-  let time_floor_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "time-floor" ] ~docv:"SECONDS"
-          ~doc:"Baseline gate: absolute wall-time slack added to the \
-                fractional bound (CI runners are noisy; the speedup guard is \
-                the primary signal).")
-  in
-  let run seed sizes noise edits repeats min_speedup out check time_r floor =
-    if sizes = [] || List.exists (fun m -> m < 1) sizes then begin
-      prerr_endline "bench: --sizes must name at least one size >= 1";
-      exit 1
-    end;
-    if edits < 1 || repeats < 1 then begin
-      prerr_endline "bench: --edits and --repeats must be at least 1";
-      exit 1
-    end;
-    Incr_bench.run ~seed ~sizes ~noise ~edits ~repeats ~min_speedup ~out ?check
-      ~max_time_regress:time_r ~time_floor:floor ()
-  in
   Cmd.v
     (Cmd.info "incr"
        ~doc:"Dynamic-graph bench: addedge/deledge + warm re-solve vs unload + \
              reload + cold solve on the tracked seeded instances; writes \
-             BENCH_incr.json, fails unless the incremental path wins on every \
-             instance and both paths agree on every answer, and optionally \
-             gates against a checked-in baseline.")
+             BENCH_incr.json and fails unless both paths agree on every \
+             answer.")
     Term.(
-      const run $ seed_arg $ sizes_arg $ noise_arg $ edits_arg $ repeats_arg
-      $ min_speedup_arg $ out_arg $ check_arg $ time_regress_arg
-      $ time_floor_arg)
+      const (fun seed out check -> Incr_bench.run ~seed ~out ?check ())
+      $ seed_arg $ out_arg "incr" $ check_arg "incr")
+
+(* the exact and dp benches pin their own seeds: the tracked instances (and
+   the checked-in baselines) are defined by them, unlike the survey benches
+   where the seed only flavours the workload *)
+let pinned_seed_arg seed =
+  Arg.(value & opt int seed & info [ "seed" ] ~doc:"Random seed.")
 
 let exact_cmd =
-  let seed_arg =
-    (* the exact bench pins its own seed: the tracked instances (and the
-       checked-in baseline) are defined by it, unlike the survey benches
-       where the seed only flavours the workload *)
-    Arg.(value & opt int 2 & info [ "seed" ] ~doc:"Random seed.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_exact.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let check_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "check-against" ] ~docv:"FILE"
-          ~doc:"Baseline BENCH_exact.json to gate against: fail when any \
-                tracked instance regresses on steps-to-optimum or wall-time.")
-  in
-  let min_speedup_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "min-step-speedup" ] ~docv:"X"
-          ~doc:"Fail unless the MWC engine takes at least X times fewer B&B \
-                steps than the legacy engine on the tracked instances.")
-  in
-  let step_regress_arg =
-    Arg.(
-      value & opt float 0.20
-      & info [ "max-step-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional step regression (steps are \
-                deterministic, so this is effectively exact).")
-  in
-  let time_regress_arg =
-    Arg.(
-      value & opt float 0.20
-      & info [ "max-time-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional wall-time regression, on \
-                top of the absolute slack of $(b,--time-floor).")
-  in
-  let time_floor_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "time-floor" ] ~docv:"SECONDS"
-          ~doc:"Baseline gate: absolute wall-time slack added to the \
-                fractional bound (CI runners are noisy; steps are the exact \
-                signal).")
-  in
-  let run seed jobs min_speedup out check step_r time_r floor =
-    if jobs < 1 then begin
-      Printf.eprintf "bench: --jobs must be at least 1 (got %d)\n" jobs;
-      exit 1
-    end;
-    Exact_bench.run ~seed ~jobs ~min_step_speedup:min_speedup ~out ?check
-      ~max_step_regress:step_r ~max_time_regress:time_r ~time_floor:floor ()
+  let run seed jobs out check =
+    require_jobs jobs;
+    Exact_bench.run ~seed ~jobs ~out ?check ()
   in
   Cmd.v
     (Cmd.info "exact"
        ~doc:"Exact-path engine bench: legacy colouring B&B vs the bitset MWC \
              engine on seeded product-graph instances, steps-to-optimum and \
-             wall-clock; writes BENCH_exact.json, fails below the speedup \
-             guard, and optionally gates against a checked-in baseline.")
+             wall-clock; writes BENCH_exact.json.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ min_speedup_arg $ out_arg $ check_arg
-      $ step_regress_arg $ time_regress_arg $ time_floor_arg)
+      const run $ pinned_seed_arg 2 $ jobs_arg $ out_arg "exact"
+      $ check_arg "exact")
 
 let dp_cmd =
-  let seed_arg =
-    (* like `bench exact`: the tracked instances and the checked-in
-       baseline are defined by the seed *)
-    Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Random seed.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_dp.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let check_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "check-against" ] ~docv:"FILE"
-          ~doc:"Baseline BENCH_dp.json to gate against: fail when any \
-                tracked instance regresses on steps-to-optimum or wall-time.")
-  in
-  let min_speedup_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "min-step-speedup" ] ~docv:"X"
-          ~doc:"Fail unless the DP takes at least X times fewer budget steps \
-                than the MWC engine on the tracked low-treewidth instances.")
-  in
-  let step_regress_arg =
-    Arg.(
-      value & opt float 0.20
-      & info [ "max-step-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional step regression (steps are \
-                deterministic, so this is effectively exact).")
-  in
-  let time_regress_arg =
-    Arg.(
-      value & opt float 0.20
-      & info [ "max-time-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional wall-time regression, on \
-                top of the absolute slack of $(b,--time-floor).")
-  in
-  let time_floor_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "time-floor" ] ~docv:"SECONDS"
-          ~doc:"Baseline gate: absolute wall-time slack added to the \
-                fractional bound (CI runners are noisy; steps are the exact \
-                signal).")
-  in
-  let run seed jobs min_speedup out check step_r time_r floor =
-    if jobs < 1 then begin
-      Printf.eprintf "bench: --jobs must be at least 1 (got %d)\n" jobs;
-      exit 1
-    end;
-    Dp_bench.run ~seed ~jobs ~min_step_speedup:min_speedup ~out ?check
-      ~max_step_regress:step_r ~max_time_regress:time_r ~time_floor:floor ()
+  let run seed jobs out check =
+    require_jobs jobs;
+    Dp_bench.run ~seed ~jobs ~out ?check ()
   in
   Cmd.v
     (Cmd.info "dp"
        ~doc:"Tree-decomposition DP vs the MWC engine on seeded low-treewidth \
              instances, steps-to-optimum and wall-clock; writes \
-             BENCH_dp.json, fails below the speedup guard, and optionally \
-             gates against a checked-in baseline.")
+             BENCH_dp.json.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ min_speedup_arg $ out_arg $ check_arg
-      $ step_regress_arg $ time_regress_arg $ time_floor_arg)
+      const run $ pinned_seed_arg 7 $ jobs_arg $ out_arg "dp" $ check_arg "dp")
 
 let obs_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_obs.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let m_arg =
-    Arg.(value & opt int 60 & info [ "size" ] ~doc:"Pattern size (generator parameter m).")
-  in
-  let noise_arg =
-    Arg.(value & opt float 0.1 & info [ "noise" ] ~doc:"Noise rate for the data graph.")
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "rounds" ] ~doc:"Alternating enabled/disabled measurement rounds.")
-  in
-  let iters_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "iters" ] ~doc:"Warm solves per round and mode.")
-  in
-  let max_overhead_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "max-overhead" ] ~docv:"PCT"
-          ~doc:"Fail when metrics overhead exceeds this many percent.")
-  in
-  let run seed m noise rounds iters max_overhead out =
-    if m < 1 || rounds < 1 || iters < 1 then begin
-      prerr_endline "bench: --size, --rounds and --iters must be at least 1";
-      exit 1
-    end;
-    Obs_bench.run ~seed ~m ~noise ~rounds ~iters ~max_overhead ~out ()
-  in
   Cmd.v
     (Cmd.info "obs"
        ~doc:"Metrics-on vs metrics-off wall-clock on the daemon's warm-serve \
-             path; writes BENCH_obs.json and fails above the overhead bound.")
+             path; writes BENCH_obs.json.")
     Term.(
-      const run $ seed_arg $ m_arg $ noise_arg $ rounds_arg $ iters_arg
-      $ max_overhead_arg $ out_arg)
+      const (fun seed out check -> Obs_bench.run ~seed ~out ?check ())
+      $ seed_arg $ out_arg "obs" $ check_arg "obs")
 
 let fleet_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_fleet.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let m_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "size" ] ~doc:"Pattern size (generator parameter m).")
-  in
-  let noise_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "noise" ] ~doc:"Noise rate for the data graphs.")
-  in
-  let pairs_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "pairs" ] ~docv:"N"
-          ~doc:"Independent graph pairs, so consistent hashing has keys to \
-                spread across the fleet.")
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "rounds" ] ~doc:"Warm routed rounds over every pair.")
-  in
-  let max_blip_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "max-blip" ] ~docv:"SECS"
-          ~doc:"Fail when the failover blip (the one routed request that \
-                spans the kill -9 of its owner) exceeds $(docv) seconds.")
-  in
-  let run seed m noise pairs rounds max_blip out =
-    if m < 1 || pairs < 1 || rounds < 1 then begin
-      prerr_endline "bench: --size, --pairs and --rounds must be at least 1";
-      exit 1
-    end;
-    Fleet_bench.run ~seed ~m ~noise ~pairs ~rounds ~max_blip ~out ()
-  in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:"Routed latency against 1 vs 3 phomd replicas over loopback TCP, \
              plus the failover blip when a replica is killed -9 mid-workload; \
-             writes BENCH_fleet.json and fails when any routed request errors \
-             or the blip exceeds the bound.")
+             writes BENCH_fleet.json and fails when any routed request \
+             errors.")
     Term.(
-      const run $ seed_arg $ m_arg $ noise_arg $ pairs_arg $ rounds_arg
-      $ max_blip_arg $ out_arg)
+      const (fun seed out check -> Fleet_bench.run ~seed ~out ?check ())
+      $ seed_arg $ out_arg "fleet" $ check_arg "fleet")
 
 let all_term = Term.(const run_all $ full_arg $ seed_arg $ versions_arg $ mcs_limit_arg $ jobs_arg)
 

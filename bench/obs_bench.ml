@@ -7,8 +7,8 @@
    [Obs.set_enabled false], in alternating rounds so clock drift and cache
    warmth cancel, and the overhead is computed from the two totals.
 
-   Emits BENCH_obs.json and exits non-zero when the overhead exceeds the
-   bound, so CI can hold the line. *)
+   Emits BENCH_obs.json gate rows; the overhead is a ceiling row whose
+   bound (2%) lives in the checked-in baseline. *)
 
 module G = Phom_graph.Generators
 module IO = Phom_graph.Graph_io
@@ -37,10 +37,16 @@ let batch st solve ~iters ~enabled =
       done;
       Unix.gettimeofday () -. t0)
 
-let run ~seed ~m ~noise ~rounds ~iters ~max_overhead ~out () =
+(* the tracked workload; the checked-in baseline is measured on it *)
+let m = 60
+let noise = 0.1
+let rounds = 12
+let iters = 200
+
+let run ~seed ~out ?check () =
   Util.heading "Observability: metrics overhead on the warm-serve path";
-  Util.note "pattern m=%d, %d rounds x %d warm solves per mode, bound %.1f%%"
-    m rounds iters max_overhead;
+  Util.note "pattern m=%d, %d rounds x %d warm solves per mode" m rounds
+    iters;
   let rng = Random.State.make [| seed |] in
   let g1, pool = G.paper_pattern ~rng ~m in
   let g2 = G.paper_data ~rng ~pool ~noise g1 in
@@ -81,33 +87,14 @@ let run ~seed ~m ~noise ~rounds ~iters ~max_overhead ~out () =
       [ "metrics on"; Util.seconds !on_total; Printf.sprintf "%.6f" on_per ];
       [ "metrics off"; Util.seconds !off_total; Printf.sprintf "%.6f" off_per ];
     ];
-  Util.note "overhead: %.2f%% (bound %.1f%%)" overhead max_overhead;
+  Util.note "overhead: %.2f%%" overhead;
   (* the stats surface stayed live through the run *)
   let stats = request st "stats" in
   expect_ok "stats" stats;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"pattern_m\": %d,\n\
-      \  \"rounds\": %d,\n\
-      \  \"iters_per_round\": %d,\n\
-      \  \"enabled_total_seconds\": %.6f,\n\
-      \  \"disabled_total_seconds\": %.6f,\n\
-      \  \"enabled_seconds_per_query\": %.9f,\n\
-      \  \"disabled_seconds_per_query\": %.9f,\n\
-      \  \"overhead_percent\": %.3f,\n\
-      \  \"max_overhead_percent\": %.1f,\n\
-      \  \"within_bound\": %b\n\
-       }\n"
-      m rounds iters !on_total !off_total on_per off_per overhead max_overhead
-      (overhead <= max_overhead)
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
-  if overhead > max_overhead then begin
-    Printf.eprintf "bench obs: %.2f%% overhead exceeds the %.1f%% bound\n"
-      overhead max_overhead;
-    exit 1
-  end
+  let row = Gate.row "obs" "warm-serve" in
+  Gate.finish ~out ?check
+    [
+      row "enabled_seconds_per_query" Time on_per;
+      row "disabled_seconds_per_query" Time off_per;
+      row "overhead_percent" Ceiling overhead;
+    ]

@@ -7,8 +7,8 @@
    without socket noise), and the warm reply must equal the cold one modulo
    the cache provenance field.
 
-   Emits BENCH_serve.json (also printed as a table) so CI can assert the
-   warm path is measurably faster than the cold one. *)
+   Emits BENCH_serve.json as gate rows (also printed as a table); this
+   suite reports and has no checked-in baseline. *)
 
 module D = Phom_graph.Digraph
 module G = Phom_graph.Generators
@@ -217,39 +217,6 @@ let bench_concurrency ~rng ~m ~noise ~jobs ~clients_list ~warm_rounds =
               })
             clients_list))
 
-let json_of_rows ~repeats ~jobs ~warm_rounds rows conc_rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": %S, \"n1\": %d, \"n2\": %d, \"cold_seconds\": %.6f, \
-       \"warm_seconds\": %.6f, \"speedup\": %.3f, \"warm_hits\": %b, \
-       \"equal_output\": %b}"
-      r.name r.n1 r.n2 r.cold_seconds r.warm_seconds
-      (if r.warm_seconds > 0. then r.cold_seconds /. r.warm_seconds else 0.)
-      r.warm_hits r.equal_output
-  in
-  let conc_json r =
-    Printf.sprintf
-      "    {\"clients\": %d, \"cold_p50_seconds\": %.6f, \"cold_p99_seconds\": \
-       %.6f, \"warm_p50_seconds\": %.6f, \"warm_p99_seconds\": %.6f}"
-      r.clients r.cold_p50 r.cold_p99 r.warm_p50 r.warm_p99
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"warm_repeats\": %d,\n\
-    \  \"queries\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"concurrency_jobs\": %d,\n\
-    \  \"concurrency_warm_rounds\": %d,\n\
-    \  \"concurrency\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    repeats
-    (String.concat ",\n" (List.map row_json rows))
-    jobs warm_rounds
-    (String.concat ",\n" (List.map conc_json conc_rows))
-
 let run ~seed ~sizes ~noise ~repeats ~clients ~out () =
   Util.heading "Matching service: cold vs warm query latency";
   Util.note "paper synthetic pairs (Fig. 5 generator), noise %.2f, %d warm \
@@ -300,11 +267,30 @@ let run ~seed ~sizes ~noise ~repeats ~clients ~out () =
            Util.seconds r.warm_p99;
          ])
        conc_rows);
-  let json = json_of_rows ~repeats ~jobs:conc_jobs ~warm_rounds rows conc_rows in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
+  (* report only: no baseline, so no gate *)
+  Gate.finish ~out
+    (List.concat_map
+       (fun r ->
+         let row = Gate.row "serve" r.name in
+         [
+           row "n1" Work (float_of_int r.n1);
+           row "n2" Work (float_of_int r.n2);
+           row "warm_hits" Work (Gate.of_bool r.warm_hits);
+           row "equal_output" Work (Gate.of_bool r.equal_output);
+           row "cold_seconds" Time r.cold_seconds;
+           row "warm_seconds" Time r.warm_seconds;
+         ])
+       rows
+    @ List.concat_map
+        (fun r ->
+          let row = Gate.row "serve" (Printf.sprintf "clients-%d" r.clients) in
+          [
+            row "cold_p50_seconds" Time r.cold_p50;
+            row "cold_p99_seconds" Time r.cold_p99;
+            row "warm_p50_seconds" Time r.warm_p50;
+            row "warm_p99_seconds" Time r.warm_p99;
+          ])
+        conc_rows);
   if List.exists (fun r -> not (r.warm_hits && r.equal_output)) rows then begin
     prerr_endline "warm queries missed the cache or changed the answer";
     exit 1
