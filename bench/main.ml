@@ -218,26 +218,27 @@ let serve_cmd =
       const run $ seed_arg $ sizes_arg $ noise_arg $ repeats_arg $ clients_arg
       $ out_arg "serve")
 
-let recovery_cmd =
-  Cmd.v
-    (Cmd.info "recovery"
-       ~doc:"Durable-daemon restart cost: cold start (load + compute) vs \
-             recovered start (snapshot + journal replay) to the first \
-             answer; writes BENCH_recovery.json.")
+(* a gated suite whose workload is fixed by its baseline: only the seed,
+   the report path and the baseline are settable *)
+let gated_cmd suite ~doc
+    (run : seed:int -> out:string -> ?check:string -> unit -> unit) =
+  Cmd.v (Cmd.info suite ~doc)
     Term.(
-      const (fun seed out check -> Recovery_bench.run ~seed ~out ?check ())
-      $ seed_arg $ out_arg "recovery" $ check_arg "recovery")
+      const (fun seed out check -> run ~seed ~out ?check ())
+      $ seed_arg $ out_arg suite $ check_arg suite)
+
+let recovery_cmd =
+  gated_cmd "recovery" Recovery_bench.run
+    ~doc:"Durable-daemon restart cost: cold start (load + compute) vs \
+          recovered start (snapshot + journal replay) to the first answer; \
+          writes BENCH_recovery.json."
 
 let incr_cmd =
-  Cmd.v
-    (Cmd.info "incr"
-       ~doc:"Dynamic-graph bench: addedge/deledge + warm re-solve vs unload + \
-             reload + cold solve on the tracked seeded instances; writes \
-             BENCH_incr.json and fails unless both paths agree on every \
-             answer.")
-    Term.(
-      const (fun seed out check -> Incr_bench.run ~seed ~out ?check ())
-      $ seed_arg $ out_arg "incr" $ check_arg "incr")
+  gated_cmd "incr" Incr_bench.run
+    ~doc:"Dynamic-graph bench: addedge/deledge + warm re-solve vs unload + \
+          reload + cold solve on the tracked seeded instances; writes \
+          BENCH_incr.json and fails unless both paths agree on every \
+          answer."
 
 (* the exact and dp benches pin their own seeds: the tracked instances (and
    the checked-in baselines) are defined by them, unlike the survey benches
@@ -273,24 +274,15 @@ let dp_cmd =
       const run $ pinned_seed_arg 7 $ jobs_arg $ out_arg "dp" $ check_arg "dp")
 
 let obs_cmd =
-  Cmd.v
-    (Cmd.info "obs"
-       ~doc:"Metrics-on vs metrics-off wall-clock on the daemon's warm-serve \
-             path; writes BENCH_obs.json.")
-    Term.(
-      const (fun seed out check -> Obs_bench.run ~seed ~out ?check ())
-      $ seed_arg $ out_arg "obs" $ check_arg "obs")
+  gated_cmd "obs" Obs_bench.run
+    ~doc:"Metrics-on vs metrics-off wall-clock on the daemon's warm-serve \
+          path; writes BENCH_obs.json."
 
 let fleet_cmd =
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:"Routed latency against 1 vs 3 phomd replicas over loopback TCP, \
-             plus the failover blip when a replica is killed -9 mid-workload; \
-             writes BENCH_fleet.json and fails when any routed request \
-             errors.")
-    Term.(
-      const (fun seed out check -> Fleet_bench.run ~seed ~out ?check ())
-      $ seed_arg $ out_arg "fleet" $ check_arg "fleet")
+  gated_cmd "fleet" Fleet_bench.run
+    ~doc:"Routed latency against 1 vs 3 phomd replicas over loopback TCP, \
+          plus the failover blip when a replica is killed -9 mid-workload; \
+          writes BENCH_fleet.json and fails when any routed request errors."
 
 let all_term = Term.(const run_all $ full_arg $ seed_arg $ versions_arg $ mcs_limit_arg $ jobs_arg)
 
